@@ -36,8 +36,29 @@ func BenchmarkCensusClassify(b *testing.B) {
 // BenchmarkCensusSolve runs the full solve sweep (R_A construction,
 // solvability decision and witness verification per fair adversary)
 // over the n=2 domain, with a fresh tower cache per iteration so the
-// engine's own sharing is what is measured.
+// engine's own sharing is what is measured. The n=4 subtest is one
+// orbit-mode consensus decision on a single-index window holding a fair
+// representative: the census solve hot path (R_A, the level-1 tower,
+// its facets and the map search) at the size census solve mode runs.
 func BenchmarkCensusSolve(b *testing.B) {
+	b.Run("n=4/rep=13790", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rep, err := SweepCensusRange(4, CensusOptions{
+				Workers:   1,
+				Orbits:    true,
+				Task:      "kset:k=1",
+				MaxRounds: 1,
+				Cache:     NewTowerCache(),
+			}, nil, 13790, 13791)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Summary.Orbits != 1 || rep.Summary.Solved == 0 {
+				b.Fatalf("examined %d orbits, decided %d adversaries; want one decided orbit",
+					rep.Summary.Orbits, rep.Summary.Solved)
+			}
+		}
+	})
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("n=2/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

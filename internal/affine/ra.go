@@ -48,11 +48,20 @@ const DefaultVariant = VariantUnion
 // The facet filter runs one worker per CPU over the first-round
 // schedules (the rows are independent: each builds its own r1Context);
 // the facet order — and so the task — is identical to the serial scan.
+//
+// α is read serially into a flat table over every subset of Π before
+// the rows fan out, so the workers share only that immutable table: an
+// AlphaFunc may memoize (Adversary.Alpha fills its setcon memo on
+// first touch) and need not be safe for concurrent use.
 func BuildRA(u *chromatic.Universe, alpha adversary.AlphaFunc, variant Def9Variant) (*Task, error) {
 	n := u.N()
 	full := procs.FullSet(n)
+	table := make([]int, 1<<uint(n))
+	for p := range table {
+		table[p] = alpha(procs.Set(p))
+	}
 	parts := procs.EnumerateOrderedPartitions(full)
-	rows := buildRAFacetRows(alpha, parts, variant, 0)
+	rows := buildRAFacetRows(func(p procs.Set) int { return table[p] }, parts, variant, 0)
 	var facets []chromatic.Run2
 	for _, row := range rows {
 		facets = append(facets, row...)
@@ -73,7 +82,8 @@ const parallelRARows = 64
 // rows[i] holds the facets with R1 = parts[i], each row in r2
 // enumeration order. workers <= 0 selects one per CPU; small domains
 // and workers == 1 take the serial path. Every worker builds its own
-// r1Context, so rows share no state and the concatenated output is
+// r1Context, so rows share nothing but alpha — which must therefore be
+// safe for concurrent use — and the concatenated output is
 // byte-identical across worker counts.
 func buildRAFacetRows(alpha adversary.AlphaFunc, parts []procs.OrderedPartition, variant Def9Variant, workers int) [][]chromatic.Run2 {
 	rows := make([][]chromatic.Run2, len(parts))

@@ -63,3 +63,25 @@ func TestBuildRATaskMatchesSerialScan(t *testing.T) {
 		t.Fatalf("BuildRA facets differ from the serial scan (%d vs %d)", got.NumFacets(), want.NumFacets())
 	}
 }
+
+// TestBuildRAFreshAdversary: BuildRA on adversaries whose setcon memo
+// is cold — the parallel rows once raced on it through Alpha — equals
+// the serial rows over a second fresh copy of each adversary.
+func TestBuildRAFreshAdversary(t *testing.T) {
+	n := 4
+	u := chromatic.NewUniverse(n)
+	parts := procs.EnumerateOrderedPartitions(procs.FullSet(n))
+	for _, idx := range []uint64{13396, 13790, 16245} {
+		got, err := BuildRAForAdversary(u, adversary.AdversaryAt(n, idx), DefaultVariant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []chromatic.Run2
+		for _, row := range buildRAFacetRows(adversary.AdversaryAt(n, idx).Alpha, parts, DefaultVariant, 1) {
+			want = append(want, row...)
+		}
+		if !reflect.DeepEqual(got.Facets(), want) {
+			t.Fatalf("index %d: BuildRA facets differ from the serial rows (%d vs %d)", idx, got.NumFacets(), len(want))
+		}
+	}
+}

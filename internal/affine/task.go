@@ -91,7 +91,9 @@ func (t *Task) Facets() []chromatic.Run2 {
 func (t *Task) ContainsRun(r chromatic.Run2) bool { return t.keys[r.Key()] }
 
 // Complex materializes the task as a simplicial complex (the closure of
-// its facets, including all boundary faces). Cached after first call.
+// its facets, including all boundary faces), for rendering, simplex
+// agreement and ContainsSimplex. Built on first call and cached; the
+// membership tables never need it.
 func (t *Task) Complex() *sc.Complex {
 	t.cplxOnce.Do(func() {
 		c := sc.NewComplex(t.n)
@@ -130,9 +132,9 @@ func (t *Task) Signature() string {
 // membership bitset over the given ground set — affine.Task natively
 // implements chromatic.MemberTables, so the task itself is the fast
 // path of ApplyAffineTables / Tower.ExtendTables. Tables are built once
-// per (task, ground): from the facet key set on the full ground, and
-// through the complex's closure on restricted grounds. Safe for
-// concurrent use.
+// per (task, ground): from the facet key set on the full ground, and by
+// projecting the facet runs on restricted grounds (projectedKeys).
+// Safe for concurrent use.
 func (t *Task) MembershipTable(ground procs.Set) *chromatic.MembershipTable {
 	t.tabMu.Lock()
 	mt, ok := t.tables[ground]
@@ -140,16 +142,12 @@ func (t *Task) MembershipTable(ground procs.Set) *chromatic.MembershipTable {
 	if ok {
 		return mt
 	}
-	if ground == procs.FullSet(t.n) {
-		mt = chromatic.NewMembershipTable(ground,
-			func(r chromatic.Run2, key chromatic.RunKey) bool { return t.keys[key] })
-	} else {
-		t.Complex()
-		mt = chromatic.NewMembershipTable(ground,
-			func(r chromatic.Run2, key chromatic.RunKey) bool {
-				return t.ContainsSimplex(r.FacetIDs(t.u))
-			})
+	keys := t.keys
+	if ground != procs.FullSet(t.n) {
+		keys = t.projectedKeys(ground)
 	}
+	mt = chromatic.NewMembershipTable(ground,
+		func(r chromatic.Run2, key chromatic.RunKey) bool { return keys[key] })
 	t.tabMu.Lock()
 	if prior, ok := t.tables[ground]; ok {
 		mt = prior
@@ -161,6 +159,46 @@ func (t *Task) MembershipTable(ground procs.Set) *chromatic.MembershipTable {
 	}
 	t.tabMu.Unlock()
 	return mt
+}
+
+// projectedKeys returns the keys of the runs over a restricted ground P
+// whose simplices belong to the task, read off the facet runs.
+//
+// The vertex of p in a run (R1, R2) is fixed by p's round-2 view and
+// the round-1 views of that view's members. So the simplex of a run over
+// P is a face of the facet (R1, R2) exactly when P is closed under both
+// rounds' views of that facet — when P is the union of a prefix of R1's
+// blocks and of a prefix of R2's — and the run is then (R1|P, R2|P),
+// the two prefixes. Restricting to a block prefix keeps every block
+// index, so its packed key is the facet's key masked to P's nibbles.
+func (t *Task) projectedKeys(ground procs.Set) map[chromatic.RunKey]bool {
+	var mask uint64
+	ground.ForEach(func(p procs.ID) { mask |= 0xf << (4 * uint(p)) })
+	keys := make(map[chromatic.RunKey]bool)
+	for _, r := range t.facets {
+		if !isBlockPrefix(r.R1, ground) || !isBlockPrefix(r.R2, ground) {
+			continue
+		}
+		k := r.Key()
+		keys[chromatic.RunKey{R1: k.R1 & mask, R2: k.R2 & mask}] = true
+	}
+	return keys
+}
+
+// isBlockPrefix reports whether p is the union of the first blocks of
+// op, i.e. whether p is closed under op's views.
+func isBlockPrefix(op procs.OrderedPartition, p procs.Set) bool {
+	var acc procs.Set
+	for _, b := range op {
+		acc = acc.Union(b)
+		if acc == p {
+			return true
+		}
+		if !acc.SubsetOf(p) {
+			return false
+		}
+	}
+	return false
 }
 
 // RestrictedFacets enumerates the runs over the participating set whose
@@ -219,9 +257,6 @@ func (t *Task) PrecomputeRestrictedFacets(workers int) {
 		}
 		return
 	}
-	// The closure complex is built lazily under a Once; touch it before
-	// fanning out so workers only read it.
-	t.Complex()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -253,22 +288,21 @@ func (t *Task) ContainsSimplex(ids []sc.VertexID) bool {
 // task to arbitrary chromatic complexes (chromatic.Tower.Extend): a
 // 2-round run over a ground set of colors is accepted iff its simplex
 // belongs to the task. The run key the enumerators precompute indexes
-// the facet map directly, so the full-ground path is a single map read.
+// the facet map directly, so the full-ground path is a single map read;
+// restricted grounds answer from their membership table.
 //
 // This is the generic/compat form; the engine's fast path consumes the
 // task directly as a chromatic.MemberTables provider (MembershipTable),
 // which answers by rank-indexed bit probes. The returned predicate is
-// safe for concurrent use: the task complex is materialized eagerly
-// here, so evaluations only read it (and intern through the
-// lock-protected Universe).
+// safe for concurrent use.
 func (t *Task) Membership() chromatic.Membership {
-	t.Complex()
 	full := procs.FullSet(t.n)
 	return func(r chromatic.Run2, key chromatic.RunKey) bool {
-		if r.Ground() == full {
+		ground := r.Ground()
+		if ground == full {
 			return t.keys[key]
 		}
-		return t.ContainsSimplex(r.FacetIDs(t.u))
+		return t.MembershipTable(ground).Membership()(r, key)
 	}
 }
 

@@ -10,6 +10,7 @@
 package sc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -298,49 +299,65 @@ func (c *Complex) Dimension() int {
 }
 
 // Facets returns the facets: simplices not strictly contained in any
-// other simplex of the complex.
+// other simplex of the complex, in Simplices order (by dimension, then
+// lexicographically).
+//
+// The simplex set is inclusion-closed, so a simplex is a non-facet
+// exactly when it is a codimension-1 face of another simplex. One cover
+// pass marks the codimension-1 faces of every simplex and keeps the
+// unmarked ones: simplices × dimension key probes, with only the facets
+// sorted.
 func (c *Complex) Facets() []Simplex {
 	if c.facetCache != nil {
 		return c.facetCache
 	}
-	all := c.Simplices()
-	// A simplex is a facet iff no single-vertex extension is a simplex.
-	ids := c.VertexIDs()
+	covered := c.codimOneFaces()
 	var facets []Simplex
-	for _, s := range all {
-		isFacet := true
-		for _, v := range ids {
-			if s.Contains(v) {
-				continue
-			}
-			if c.HasSimplex(s.Union(Simplex{v})) {
-				isFacet = false
-				break
-			}
-		}
-		if isFacet {
+	for k, s := range c.simplices {
+		if _, ok := covered[k]; !ok {
 			facets = append(facets, s)
 		}
 	}
+	sortSimplices(facets)
 	c.facetCache = facets
 	return facets
 }
 
-// IsFacet reports facet(σ, c): σ ∈ c and σ is not a proper face of a
-// larger simplex of c.
-func (c *Complex) IsFacet(s Simplex) bool {
-	if !c.HasSimplex(s) {
-		return false
-	}
-	for _, v := range c.VertexIDs() {
-		if s.Contains(v) {
+// codimOneFaces returns the keys of every simplex that is a
+// codimension-1 face of another simplex of c. Faces are probed with
+// stack-buffer keys; a key is only materialized the first time its face
+// is marked.
+func (c *Complex) codimOneFaces() map[string]struct{} {
+	covered := make(map[string]struct{}, len(c.simplices))
+	var stack [64]byte
+	for _, s := range c.simplices {
+		if len(s) < 2 {
 			continue
 		}
-		if c.HasSimplex(s.Union(Simplex{v})) {
-			return false
+		buf := stack[:0]
+		if 4*len(s) > len(stack) {
+			buf = make([]byte, 0, 4*len(s))
+		}
+		for skip := range s {
+			buf = buf[:0]
+			for i, v := range s {
+				if i != skip {
+					buf = binary.BigEndian.AppendUint32(buf, uint32(v))
+				}
+			}
+			if _, ok := covered[string(buf)]; !ok {
+				covered[string(buf)] = struct{}{}
+			}
 		}
 	}
-	return true
+	return covered
+}
+
+// IsFacet reports facet(σ, c): σ ∈ c and σ is not a proper face of a
+// larger simplex of c — whether σ is one of Facets().
+func (c *Complex) IsFacet(s Simplex) bool {
+	_, found := slices.BinarySearchFunc(c.Facets(), s, compareSimplices)
+	return found
 }
 
 // IsPure reports whether all facets share the complex's dimension.
@@ -427,15 +444,14 @@ func (c *Complex) SubcomplexOf(other *Complex) bool {
 }
 
 func sortSimplices(ss []Simplex) {
-	sort.Slice(ss, func(i, j int) bool {
-		if len(ss[i]) != len(ss[j]) {
-			return len(ss[i]) < len(ss[j])
-		}
-		for k := range ss[i] {
-			if ss[i][k] != ss[j][k] {
-				return ss[i][k] < ss[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(ss, compareSimplices)
+}
+
+// compareSimplices orders simplices by dimension, then
+// lexicographically.
+func compareSimplices(a, b Simplex) int {
+	if len(a) != len(b) {
+		return cmp.Compare(len(a), len(b))
+	}
+	return slices.Compare(a, b)
 }
